@@ -3,9 +3,7 @@
 from repro.comparison.comparator import AttributeWeightedComparator, TokenSetComparator
 from repro.comparison.kernel import (
     InternedComparator,
-    galloping_intersect_size,
-    intersect_size,
-    merge_intersect_size,
+    jaccard_verify,
     similarity_bound,
     similarity_from_intersection,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "IncrementalTfIdfComparator",
     "similarity_bound",
     "similarity_from_intersection",
-    "intersect_size",
-    "merge_intersect_size",
-    "galloping_intersect_size",
+    "jaccard_verify",
     "jaccard",
     "dice",
     "overlap",

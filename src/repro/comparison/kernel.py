@@ -25,11 +25,13 @@ set-similarity-join literature end to end:
    those pairs, the match set is again byte-identical; only the
    non-match bookkeeping disappears.
 
-The sorted-array intersection helpers (merge / galloping / numpy) back the
-multiprocess worker path, which receives sorted id arrays off the wire; the
-in-process hot loop uses frozenset intersection, which measures fastest for
-the small token sets typical of entity profiles (CPython set ops are C
-loops, and galloping only pays off for heavily skewed large sets).
+Every path that scores interned pairs — the in-process
+:meth:`InternedComparator.compare_batch` and all multiprocess worker paths
+— holds token ids as ``frozenset`` and intersects with ``len(a & b)``
+(CPython set ops are C loops, fastest for the small token sets typical of
+entity profiles).  The default configuration, Jaccard under a positive
+threshold, runs through one shared prefilter + verify loop,
+:func:`jaccard_verify`, whichever executor calls it.
 
 Safety argument for the prefilter (``docs/performance.md`` repeats this
 with the full derivation): with ``m = min(|a|, |b|)``, ``M = max(|a|, |b|)``
@@ -47,11 +49,8 @@ A pair skipped by the prefilter therefore *cannot* reach the threshold.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import AbstractSet, Callable, Sequence
 
 from repro.comparison.similarity import SET_SIMILARITIES
 from repro.errors import ConfigurationError
@@ -61,81 +60,8 @@ __all__ = [
     "InternedComparator",
     "similarity_bound",
     "similarity_from_intersection",
-    "intersect_size",
-    "merge_intersect_size",
-    "galloping_intersect_size",
+    "jaccard_verify",
 ]
-
-# --------------------------------------------------------------------------
-# Sorted-array intersection (worker-side payloads, large/skewed sets)
-
-#: Below this combined size, plain merge beats numpy's call overhead.
-_NUMPY_MIN_SIZE = 256
-#: Size ratio beyond which per-element binary search (galloping) wins.
-_GALLOP_RATIO = 16
-
-
-def merge_intersect_size(a: Sequence[int], b: Sequence[int]) -> int:
-    """|a ∩ b| of two *sorted, duplicate-free* sequences by linear merge."""
-    i = j = size = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x = a[i]
-        y = b[j]
-        if x == y:
-            size += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return size
-
-
-def galloping_intersect_size(small: Sequence[int], large: Sequence[int]) -> int:
-    """|small ∩ large| by binary-searching each element of the smaller side.
-
-    O(|small| · log |large|) — the winning strategy when one side is much
-    larger than the other (hub entities in oversized blocks).
-    """
-    size = 0
-    lo = 0
-    hi = len(large)
-    for x in small:
-        lo = bisect_left(large, x, lo, hi)
-        if lo == hi:
-            break
-        if large[lo] == x:
-            size += 1
-            lo += 1
-    return size
-
-
-def intersect_size(a: Sequence[int], b: Sequence[int]) -> int:
-    """|a ∩ b| of two sorted, duplicate-free int sequences.
-
-    Picks the strategy by size and skew: numpy's vectorized
-    ``intersect1d`` for large inputs, galloping binary search for heavily
-    skewed ones, linear merge otherwise.
-    """
-    la, lb = len(a), len(b)
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    if la == 0:
-        return 0
-    if la + lb >= _NUMPY_MIN_SIZE and la * _GALLOP_RATIO > lb:
-        return int(
-            np.intersect1d(
-                np.asarray(a, dtype=np.int64),
-                np.asarray(b, dtype=np.int64),
-                assume_unique=True,
-            ).size
-        )
-    if la * _GALLOP_RATIO <= lb:
-        return galloping_intersect_size(a, b)
-    return merge_intersect_size(a, b)
-
 
 # --------------------------------------------------------------------------
 # Length-based similarity bounds
@@ -195,6 +121,67 @@ def similarity_from_intersection(measure: str, inter: int, la: int, lb: int) -> 
         return inter / denom if denom else 0.0
     known = ", ".join(sorted(_BOUNDS))
     raise ConfigurationError(f"unknown measure {measure!r}; expected one of: {known}")
+
+
+def jaccard_verify(
+    a: AbstractSet, others: Sequence[AbstractSet], thr: float, prefilter: bool = True
+) -> tuple[list[tuple[int, float]], int]:
+    """Jaccard of ``a`` against each of ``others``, keeping scores ``>= thr``.
+
+    The one prefilter + verify loop of the default configuration (Jaccard
+    under a positive ``thr``), shared by :meth:`InternedComparator.
+    compare_batch` and every multiprocess worker path.  Returns the
+    ``(position in others, score)`` pairs that reach ``thr``, in input
+    order, and how many pairs the length prefilter skipped.  Each score
+    is bit-identical to :func:`similarity_from_intersection` (and so to
+    :func:`~repro.comparison.similarity.jaccard`): the shared left side
+    only hoists ``len(a)`` out of the loop.
+
+    The prefilter test is the *division* form ``la / lb < thr``
+    deliberately: it evaluates the exact float expression the score
+    reaches at maximal overlap (``inter == la`` makes ``inter / (la + lb -
+    inter)`` collapse to ``la / lb``, the integer arithmetic being exact),
+    and IEEE rounding is monotone, so a skipped pair provably cannot score
+    ``>= thr`` even at the last ulp.  A multiply form ``la < thr * lb``
+    has no such guarantee.
+
+    Empty sets: a one-sided empty set is prefiltered (``0 / n < thr``) or
+    scores 0.0 via the zero intersection; two empty sets are the only way
+    the prefilter ratio divides by zero, which the (cost-free on 3.11+)
+    except block turns into the 1.0 that ``similarity.jaccard`` defines
+    for them — and ``1.0 >= thr`` holds for every ``thr`` in (0, 1].
+    """
+    hits: list[tuple[int, float]] = []
+    append = hits.append
+    la = len(a)
+    skipped = 0
+    if prefilter:
+        for k, b in enumerate(others):
+            lb = len(b)
+            if la <= lb:
+                try:
+                    if la / lb < thr:
+                        skipped += 1
+                        continue
+                except ZeroDivisionError:
+                    append((k, 1.0))
+                    continue
+            elif lb / la < thr:  # la > lb, so la >= 1: never raises
+                skipped += 1
+                continue
+            inter = len(a & b)
+            s = inter / (la + lb - inter)  # > 0: not both sides empty
+            if s >= thr:
+                append((k, s))
+    else:
+        for k, b in enumerate(others):
+            lb = len(b)
+            inter = len(a & b)
+            denom = la + lb - inter
+            s = inter / denom if denom else 1.0
+            if s >= thr:
+                append((k, s))
+    return hits, skipped
 
 
 # --------------------------------------------------------------------------
@@ -277,94 +264,25 @@ class InternedComparator:
         pairs a :class:`~repro.classification.classifiers.
         ThresholdClassifier` at that threshold would accept.
         """
-        out: list[ScoredComparison] = []
-        append = out.append
         thr = self.threshold
         measure = self.measure
-        if measure == "jaccard" and thr is not None and thr > 0.0:
-            # Specialized hot loop for the default configuration (Jaccard
-            # under a positive threshold): the ratio reuses the intersection
-            # size for the union and sub-threshold pairs exit before any
-            # allocation.  The streaming front-end compares each incoming
-            # entity against its whole candidate set, so batches share their
-            # left profile; detecting that run with an identity check hoists
-            # the left-side attribute walk out of the loop.
-            #
-            # The prefilter test is the *division* form ``la / lb < thr``
-            # deliberately: it evaluates the exact float expression the
-            # score reaches at maximal overlap (``inter == la`` makes
-            # ``inter / (la + lb - inter)`` collapse to ``la / lb``, the
-            # integer arithmetic being exact), and IEEE rounding is
-            # monotone, so a dropped pair provably cannot score >= thr even
-            # at the last ulp.  A multiply form ``la < thr * lb`` has no
-            # such guarantee.
-            #
-            # Empty sets: a one-sided empty set is prefiltered (0/n < thr)
-            # or scores 0.0 via the zero intersection; two empty sets are
-            # the only way the prefilter ratio divides by zero, which the
-            # (cost-free on 3.11+) except block turns into the 1.0 that
-            # ``similarity.jaccard`` defines for them.
-            emit = ScoredComparison
-            prev_left = None
-            a: object = None
-            a_is_ids = False
-            la = 0
-            if self.prefilter:
-                for c in comparisons:
-                    left = c.left
-                    if left is not prev_left:
-                        prev_left = left
-                        a = left.token_ids
-                        a_is_ids = a is not None
-                        if a is None:
-                            a = left.tokens
-                        la = len(a)  # type: ignore[arg-type]
-                    b = c.right.token_ids
-                    if b is None or not a_is_ids:
-                        a = left.tokens
-                        la = len(a)
-                        b = c.right.tokens
-                        prev_left = None  # re-derive the ids view next pair
-                    lb = len(b)
-                    if la <= lb:
-                        try:
-                            if la / lb < thr:
-                                continue
-                        except ZeroDivisionError:
-                            # la == lb == 0: two empty sets score 1.0 and
-                            # 1.0 >= thr always holds for thr in (0, 1].
-                            append(emit(comparison=c, similarity=1.0))
-                            continue
-                    elif lb / la < thr:  # la > lb, so la >= 1: never raises
-                        continue
-                    inter = len(a & b)  # type: ignore[operator]
-                    denom = la + lb - inter
-                    s = inter / denom if denom else 1.0
-                    if s >= thr:
-                        append(emit(comparison=c, similarity=s))
-            else:
-                for c in comparisons:
-                    left = c.left
-                    if left is not prev_left:
-                        prev_left = left
-                        a = left.token_ids
-                        a_is_ids = a is not None
-                        if a is None:
-                            a = left.tokens
-                        la = len(a)  # type: ignore[arg-type]
-                    b = c.right.token_ids
-                    if b is None or not a_is_ids:
-                        a = left.tokens
-                        la = len(a)
-                        b = c.right.tokens
-                        prev_left = None  # re-derive the ids view next pair
-                    lb = len(b)
-                    inter = len(a & b)  # type: ignore[operator]
-                    denom = la + lb - inter
-                    s = inter / denom if denom else 1.0
-                    if s >= thr:
-                        append(emit(comparison=c, similarity=s))
+        if measure == "jaccard" and thr is not None and thr > 0.0 and comparisons:
+            # One pass builds the right sides; a pair with another left
+            # profile contributes ``None``, like a side without ids, and
+            # the kernel's ``len(None)`` raising sends the batch down the
+            # general path.
+            left = comparisons[0].left
+            rights = [c.right.token_ids if c.left is left else None for c in comparisons]
+            try:
+                hits, _ = jaccard_verify(left.token_ids, rights, thr, self.prefilter)  # type: ignore[arg-type]
+            except TypeError:
+                hits = self._jaccard_runs(comparisons, thr)
+            out = []
+            for k, score in hits:
+                out.append(ScoredComparison(comparison=comparisons[k], similarity=score))
             return out
+        out: list[ScoredComparison] = []
+        append = out.append
         sim = SET_SIMILARITIES[measure]
         pre = self.prefilter and thr is not None and thr > 0.0
         bound = _BOUNDS[measure]
@@ -387,3 +305,37 @@ class InternedComparator:
             if thr is None or s >= thr:
                 append(ScoredComparison(comparison=c, similarity=s))
         return out
+
+    def _jaccard_runs(
+        self, comparisons: list[Comparison], thr: float
+    ) -> list[tuple[int, float]]:
+        """:func:`jaccard_verify` hits over a batch that is not one run.
+
+        The batch is cut into maximal runs of one left profile with
+        interned ids on both sides; a pair with a side lacking ids is
+        scored on the string sets of *both* sides, so the measure always
+        compares like with like.
+        """
+        hits: list[tuple[int, float]] = []
+        n = len(comparisons)
+        i = 0
+        while i < n:
+            left = comparisons[i].left
+            a = left.token_ids
+            j = i
+            if a is not None:
+                while j < n:
+                    c = comparisons[j]
+                    if c.left is not left or c.right.token_ids is None:
+                        break
+                    j += 1
+            if j == i:  # a side without ids: strings for both sides
+                a = left.tokens
+                run = [comparisons[i].right.tokens]
+                j = i + 1
+            else:
+                run = [c.right.token_ids for c in comparisons[i:j]]
+            found, _ = jaccard_verify(a, run, thr, self.prefilter)
+            hits.extend((i + k, score) for k, score in found)
+            i = j
+        return hits

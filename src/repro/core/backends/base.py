@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from repro.metablocking.iwnp import iwnp_counts
 from repro.types import EntityId
 
 if TYPE_CHECKING:
@@ -44,9 +45,7 @@ class CooccurrenceCounter:
 
     def count(self, candidates: list[EntityId]) -> dict[EntityId, int]:
         """Partner id → number of shared blocks, in first-occurrence order."""
-        counts: dict[EntityId, int] = {}
-        for j in candidates:
-            counts[j] = counts.get(j, 0) + 1
+        counts = iwnp_counts(candidates)
         self.pairs_counted += len(candidates)
         return counts
 

@@ -35,6 +35,7 @@ from repro.core.state import (
     ProfileStore,
 )
 from repro.errors import ConfigurationError
+from repro.metablocking.iwnp import iwnp_counts
 from repro.reading.interning import TokenDictionary
 from repro.types import EntityId, Match, Profile, pair_key
 
@@ -234,9 +235,7 @@ class ShardedCooccurrenceCounter:
         self._locks = [threading.RLock() for _ in range(shards)]
 
     def count(self, candidates: list[EntityId]) -> dict[EntityId, int]:
-        counts: dict[EntityId, int] = {}
-        for j in candidates:
-            counts[j] = counts.get(j, 0) + 1
+        counts = iwnp_counts(candidates)
         for j, c in counts.items():
             index = shard_index(j, self.shards)
             with self._locks[index]:

@@ -34,9 +34,10 @@ Lifecycle is explicit because leaked ``/dev/shm`` segments outlive the
 process: the creating process owns unlinking (guarded by pid, so a forked
 worker can never unlink the parent's segments), ``close``/``unlink`` are
 idempotent, the backend is a context manager, and a ``weakref.finalize``
-hook covers garbage collection and interpreter exit.  Workers attaching
-by name unregister the segment from :mod:`multiprocessing.resource_tracker`
-so the tracker does not double-unlink (or warn) on worker exit.
+hook covers garbage collection and interpreter exit.  The creator's
+registration with :mod:`multiprocessing.resource_tracker` is what sweeps
+the segments after a ``SIGKILL``; an attacher leaves it alone when it
+shares the creator's tracker (see :func:`attach_segment`).
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ MAX_GENERATIONS = 48
 _CTL_PUBLISHED = 0  # rows readers may touch
 _CTL_DATA_GENS = 1  # data generations fully created
 _CTL_DIR_GENS = 2  # directory generations fully created
-_CTL_DATA_CAPS = 3  # + g: byte capacity of data generation g
+_CTL_TRACKER = 3  # the creator's resource-tracker identity
+_CTL_DATA_CAPS = 4  # + g: byte capacity of data generation g
 _CTL_DIR_CAPS = _CTL_DATA_CAPS + MAX_GENERATIONS  # + g: row capacity of dir gen g
 _CTL_SLOTS = _CTL_DIR_CAPS + MAX_GENERATIONS
 _CTL_BYTES = _CTL_SLOTS * 8
@@ -112,32 +114,46 @@ def _fresh_prefix() -> str:
     return f"{SHM_NAME_PREFIX}{os.getpid():x}x{next(_counter):x}{secrets.token_hex(2)}"
 
 
-#: Segment names created by (an ancestor of) this interpreter.  Used to
-#: decide whether an attach must detach itself from the resource tracker:
-#: a *spawned* worker starts with this empty (fresh module state) and must
-#: unregister, while the creator itself and *forked* children — which
-#: share the creator's tracker process — must leave the creator's
-#: registration alone.
-_created_names: set[str] = set()
+def _tracker_identity() -> int:
+    """Which resource tracker this process registers segments with.
+
+    The inode of the tracker pipe: a process started by
+    :mod:`multiprocessing` — under ``fork``, ``spawn`` and ``forkserver``
+    alike — inherits its parent's pipe, so it registers with the same
+    tracker; an unrelated process starts its own.  ``0`` where there is
+    no tracker to identify (the platform has none, or it is unreachable).
+    """
+    try:
+        return os.fstat(resource_tracker.getfd()).st_ino
+    except Exception:  # pragma: no cover - platforms without a tracker
+        return 0
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
+def attach_segment(name: str, owner_tracker: int) -> shared_memory.SharedMemory:
     """Attach to an existing segment *without* adopting cleanup duty.
 
-    ``SharedMemory(name=...)`` registers the segment with the process's
-    resource tracker, which would unlink it when *this* process exits —
-    wrong for a worker attaching to the parent's state, and the source of
-    the well-known "leaked shared_memory objects" warnings.  Creating
-    processes own unlinking; attachers are read-only guests, so a fresh
-    (spawned) process un-registers itself here.
+    ``SharedMemory(name=...)`` registers the segment with this process's
+    resource tracker.  The tracker keeps one *set* of names, so when it is
+    the creator's own (``owner_tracker``, see :func:`_tracker_identity`) the
+    registration is a no-op, and unregistering would delete the
+    creator's: its later ``unlink`` would then print a ``KeyError``
+    traceback from the tracker, and a ``SIGKILL`` would leak the segment.
+    Only an attacher with a tracker of its own unregisters, so that its
+    exit does not unlink the creator's segment.
     """
     segment = shared_memory.SharedMemory(name=name)
-    if name not in _created_names:
+    _drop_foreign_registration(segment, owner_tracker)
+    return segment
+
+
+def _drop_foreign_registration(
+    segment: shared_memory.SharedMemory, owner_tracker: int
+) -> None:
+    if _tracker_identity() != owner_tracker:
         try:  # private attr carries the registered (leading-slash) form
             resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
         except Exception:  # pragma: no cover - tracker variations
             pass
-    return segment
 
 
 def active_shm_segments(prefix: str | None = None) -> list[str]:
@@ -200,6 +216,7 @@ class SharedColumnStore:
             ctl = self._create(f"{self.prefix}c", _CTL_BYTES)
             self._ctl = np.frombuffer(ctl.buf, dtype=np.int64, count=_CTL_SLOTS)
             self._ctl[:] = 0
+            self._ctl[_CTL_TRACKER] = _tracker_identity()
             self._data: list[np.ndarray] = []
             self._dirs: list[np.ndarray] = []
             self._data_caps: list[int] = []
@@ -223,7 +240,6 @@ class SharedColumnStore:
     def _create(self, name: str, size: int) -> shared_memory.SharedMemory:
         segment = shared_memory.SharedMemory(name=name, create=True, size=size)
         self._segments.append(segment)
-        _created_names.add(name)
         return segment
 
     def _grow_data(self, capacity: int) -> None:
@@ -337,7 +353,6 @@ class SharedColumnStore:
         self.close()
         for segment in self._segments:
             _unlink_segment(segment)
-            _created_names.discard(segment.name)
 
 
 class SharedColumnReader:
@@ -354,9 +369,14 @@ class SharedColumnReader:
         self.prefix = prefix
         self._segments: list[shared_memory.SharedMemory] = []
         self._closed = False
-        ctl = attach_segment(f"{prefix}c")
+        # The control segment names the creator's tracker, so it must be
+        # mapped before the attach can decide what to do about its own
+        # registration.
+        ctl = shared_memory.SharedMemory(name=f"{prefix}c")
         self._segments.append(ctl)
         self._ctl = np.frombuffer(ctl.buf, dtype=np.int64, count=_CTL_SLOTS)
+        self._owner_tracker = int(self._ctl[_CTL_TRACKER])
+        _drop_foreign_registration(ctl, self._owner_tracker)
         self._data: list[np.ndarray] = []
         self._dirs: list[np.ndarray] = []
         self._dir_caps: list[int] = []
@@ -372,7 +392,7 @@ class SharedColumnReader:
         data_gens = int(self._ctl[_CTL_DATA_GENS])
         while len(self._data) < data_gens:
             g = len(self._data)
-            segment = attach_segment(f"{self.prefix}d{g}")
+            segment = attach_segment(f"{self.prefix}d{g}", self._owner_tracker)
             self._segments.append(segment)
             capacity = int(self._ctl[_CTL_DATA_CAPS + g])
             self._data.append(
@@ -381,7 +401,7 @@ class SharedColumnReader:
         dir_gens = int(self._ctl[_CTL_DIR_GENS])
         while len(self._dirs) < dir_gens:
             g = len(self._dirs)
-            segment = attach_segment(f"{self.prefix}i{g}")
+            segment = attach_segment(f"{self.prefix}i{g}", self._owner_tracker)
             self._segments.append(segment)
             rows = int(self._ctl[_CTL_DIR_CAPS + g])
             base = (self._dir_bases[-1] + self._dir_caps[-1]) if self._dirs else 0

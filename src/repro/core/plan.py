@@ -86,15 +86,16 @@ class StageSpec:
 
 def _make_dr(config: StreamERConfig, backend: StateBackend):
     builder = config.profile_builder
+    dictionary = builder.dictionary
     # An interned comparator needs profiles carrying token ids; bind the
     # backend's shared dictionary into the builder at compile time (the
     # dictionary is run state, like every store, so two executors compiling
     # the same config never share id spaces by accident).
-    if builder.dictionary is None and isinstance(config.comparator, InternedComparator):
+    if dictionary is None and isinstance(config.comparator, InternedComparator):
         dictionary = getattr(backend, "dictionary", None)
-        if dictionary is not None:
-            builder = builder.with_dictionary(dictionary)
-    return DataReadingStage(builder)
+    # The memo cache is run state too: every compiled pipeline gets a
+    # builder of its own, on the string path as well.
+    return DataReadingStage(builder.with_dictionary(dictionary))
 
 
 def _make_bb(config: StreamERConfig, backend: StateBackend):

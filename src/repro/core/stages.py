@@ -33,6 +33,7 @@ from repro.comparison.comparator import TokenSetComparator
 from repro.core.backends.base import CooccurrenceCounter, StateBackend
 from repro.core.state import Blacklist, BlockCollection, MatchStore, ProfileStore
 from repro.errors import UnknownProfileError
+from repro.metablocking.iwnp import iwnp_select
 from repro.reading.profiles import ProfileBuilder
 from repro.types import (
     Comparison,
@@ -270,11 +271,7 @@ class ComparisonCleaningStage:
         counts = self.cooccurrence.count(generated.candidates)
         if not counts:
             return CleanedComparisons(profile=generated.profile, candidates=[])
-        if self.enabled:
-            avg = sum(counts.values()) / len(counts)
-            survivors = [j for j, count in counts.items() if count >= avg]
-        else:
-            survivors = list(counts)
+        survivors = iwnp_select(counts) if self.enabled else list(counts)
         self.retained += len(survivors)
         return CleanedComparisons(profile=generated.profile, candidates=survivors)
 

@@ -12,17 +12,18 @@ stage and the PI-Block baseline can reuse it.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Hashable, Iterable, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
 
 def iwnp_counts(candidates: Iterable[T]) -> dict[T, int]:
-    """Group candidates and count multiplicities (the CBS weights)."""
-    counts: dict[T, int] = {}
-    for candidate in candidates:
-        counts[candidate] = counts.get(candidate, 0) + 1
-    return counts
+    """Group candidates and count multiplicities (the CBS weights).
+
+    ``Counter`` counts in C and keeps first-occurrence order.
+    """
+    return Counter(candidates)
 
 
 def iwnp_select(counts: dict[T, int]) -> list[T]:

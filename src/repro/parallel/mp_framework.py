@@ -26,9 +26,10 @@ configured comparator:
     sorted machine-int arrays of interned token ids (see
     :func:`~repro.reading.interning.pack_ids`) — a few bytes per token.
     The parent additionally applies the kernel's length prefilter before
-    dispatch (a provably non-matching pair is never sent at all) and the
-    worker applies threshold-aware verification (a scored non-match
-    returns a 2-byte marker, not a result object).
+    dispatch (a provably non-matching pair is never sent at all); the
+    worker turns each array into a frozenset once per chunk and applies
+    threshold-aware verification (a scored non-match returns a 2-byte
+    marker, not a result object).
 ``"tokens"`` (:class:`~repro.comparison.comparator.TokenSetComparator`)
     the string token frozensets, deduplicated per chunk.
 ``"profiles"`` (anything else)
@@ -100,7 +101,7 @@ from repro.classification.classifiers import OracleClassifier, ThresholdClassifi
 from repro.comparison.comparator import TokenSetComparator
 from repro.comparison.kernel import (
     InternedComparator,
-    intersect_size,
+    jaccard_verify,
     similarity_from_intersection,
 )
 from repro.core.backends import StateBackend
@@ -116,6 +117,7 @@ from repro.core.plan import PipelinePlan
 from repro.core.stages import ScoredComparisons
 from repro.errors import ConfigurationError
 from repro.invariants.checker import InvariantChecker
+from repro.metablocking.iwnp import iwnp_counts, iwnp_select
 from repro.observability.instrument import (
     COMPARISONS_EXECUTED,
     ENTITIES,
@@ -234,6 +236,10 @@ _worker_comparator = None
 _worker_mode: str = "profiles"
 _worker_threshold: float | None = None
 _worker_scorer: Callable | None = None
+#: Whether interned pairs go through the shared :func:`jaccard_verify`
+#: loop (Jaccard under a positive threshold, no fault spec) instead of the
+#: per-pair ``_worker_scorer``.
+_worker_fast: bool = False
 _worker_tokens: SharedColumnReader | None = None
 _worker_row_cache: dict = {}
 # Partitioned-dispatch extras (attached only in "partitioned" mode).
@@ -245,10 +251,13 @@ _worker_prefilter: bool = False
 _worker_cl_threshold: float | None = None
 _worker_cl_truth: frozenset | None = None
 
-#: Bound on the worker-side row → decoded-array cache.  Entities recur
+#: Bound on the worker-side row → decoded-set cache.  Entities recur
 #: across chunks (that is the point of shm dispatch), so the cache's hit
 #: rate is high; the bound only guards pathological vocabularies.
 _ROW_CACHE_LIMIT = 1 << 16
+
+#: A chunk position whose pair the kernel verified below the threshold.
+_BELOW: tuple[None, None] = (None, None)
 
 
 def _score_profile_pair(pair: tuple[Profile, Profile]) -> float:
@@ -262,21 +271,22 @@ def _score_token_pair(item: tuple) -> float:
 
 
 def _score_id_pair(item: tuple) -> float:
+    # Interned ids and the string fallback are both frozensets here.
     a, b = item[2], item[3]
-    if isinstance(a, frozenset):  # string fallback for un-interned profiles
-        inter = len(a & b)
-    else:
-        inter = intersect_size(a, b)
     return similarity_from_intersection(
-        _worker_comparator.measure, inter, len(a), len(b)  # type: ignore[union-attr]
+        _worker_comparator.measure, len(a & b), len(a), len(b)  # type: ignore[union-attr]
     )
 
 
-def _worker_row_ids(row: int) -> array:
-    """Decode (and cache) the packed id array behind a shared-column row."""
+def _worker_row_ids(row: int) -> frozenset:
+    """Decode (and cache) the id set behind a shared-column row.
+
+    One frozenset per row, so every dispatch mode intersects like SEQ
+    does, and a row's repeated appearances share one object.
+    """
     ids = _worker_row_cache.get(row)
     if ids is None:
-        ids = decode_packed(_worker_tokens.record(row))  # type: ignore[union-attr]
+        ids = frozenset(decode_packed(_worker_tokens.record(row)))  # type: ignore[union-attr]
         if len(_worker_row_cache) >= _ROW_CACHE_LIMIT:
             _worker_row_cache.clear()
         _worker_row_cache[row] = ids
@@ -302,7 +312,7 @@ def _init_worker(
     partition: dict | None = None,
 ) -> None:
     global _worker_comparator, _worker_mode, _worker_threshold, _worker_scorer
-    global _worker_tokens, _worker_row_cache
+    global _worker_fast, _worker_tokens, _worker_row_cache
     global _worker_membership, _worker_entities, _worker_eid_cache
     global _worker_cc_enabled, _worker_prefilter
     global _worker_cl_threshold, _worker_cl_truth
@@ -326,12 +336,16 @@ def _init_worker(
         else:
             _worker_cl_truth = None
             _worker_cl_threshold = classifier.threshold
-    _worker_threshold = (
-        comparator.threshold  # type: ignore[attr-defined]
-        if mode in ("ids", "shm", "partitioned")
-        else None
+    interned = mode in ("ids", "shm", "partitioned")
+    _worker_threshold = comparator.threshold if interned else None  # type: ignore[attr-defined]
+    _worker_fast = bool(
+        interned
+        and fault_spec is None
+        and comparator.measure == "jaccard"  # type: ignore[attr-defined]
+        and _worker_threshold is not None
+        and _worker_threshold > 0.0
     )
-    if mode in ("ids", "shm", "partitioned"):
+    if interned:
         base: Callable = _score_id_pair
     elif mode == "tokens":
         base = _score_token_pair
@@ -362,8 +376,8 @@ def _score_chunk(payload: object) -> list[tuple[float | None, str | None]]:
     """
     scorer = _worker_scorer
     assert scorer is not None, "worker not initialized"
-    out: list[tuple[float | None, str | None]] = []
     if _worker_mode == "profiles":
+        out: list[tuple[float | None, str | None]] = []
         for left, right in payload:  # type: ignore[union-attr]
             try:
                 out.append((scorer((left, right)), None))
@@ -371,31 +385,26 @@ def _score_chunk(payload: object) -> list[tuple[float | None, str | None]]:
                 out.append((None, repr(exc)))
         return out
     if _worker_mode == "shm":
-        return _score_shm_chunk(payload, scorer)
-    ids_table, str_table, pairs = payload  # type: ignore[misc]
-    thr = _worker_threshold
-    for i, j in pairs:
-        a = ids_table.get(i)
-        b = ids_table.get(j) if a is not None else None
-        if a is None or b is None:
-            a = str_table[i]
-            b = str_table[j]
-        try:
-            score = scorer((i, j, a, b))
-        except Exception as exc:
-            out.append((None, repr(exc)))
-            continue
-        if thr is not None and score < thr:
-            out.append((None, None))
-        else:
-            out.append((score, None))
-    return out
+        lefts, rights, keys = _decode_shm_chunk(payload)
+    else:
+        ids_table, str_table, keys = payload  # type: ignore[misc]
+        # Each entity's packed array becomes a frozenset once per chunk.
+        sets = {eid: frozenset(ids) for eid, ids in ids_table.items()}
+        lefts = []
+        rights = []
+        for i, j in keys:
+            a = sets.get(i)
+            b = sets.get(j) if a is not None else None
+            if a is None or b is None:
+                a = str_table[i]
+                b = str_table[j]
+            lefts.append(a)
+            rights.append(b)
+    return _score_set_pairs(lefts, rights, keys)
 
 
-def _score_shm_chunk(
-    payload: object, scorer: Callable
-) -> list[tuple[float | None, str | None]]:
-    """Score one ``"shm"``-format micro-batch against the shared columns.
+def _decode_shm_chunk(payload: object) -> tuple[list, list, list | None]:
+    """The ``(lefts, rights, keys)`` of one ``"shm"``-format micro-batch.
 
     The payload names no token data: shared-column row pairs for interned
     entities (a flat ``uint64`` array), plus a per-position string-set
@@ -404,37 +413,67 @@ def _score_shm_chunk(
     decisions stay keyed by the canonical pair — identical to every other
     dispatch format.
     """
-    count, rows, keys, fallback, str_table = _loads_oob(payload)  # type: ignore[arg-type]
-    thr = _worker_threshold
-    fallback_at = {position: (i, j) for position, i, j in fallback}
-    out: list[tuple[float | None, str | None]] = []
-    cursor = 0
-    for position in range(count):
-        pair = fallback_at.get(position)
-        if pair is not None:
-            i, j = pair
-            a: object = str_table[i]
-            b: object = str_table[j]
-        else:
-            row_a = int(rows[2 * cursor])
-            row_b = int(rows[2 * cursor + 1])
+    _, rows, keys, fallback, str_table = _loads_oob(payload)  # type: ignore[arg-type]
+    row_ids = _worker_row_ids
+    rows = rows.tolist()
+    lefts = [row_ids(row) for row in rows[0::2]]
+    rights = [row_ids(row) for row in rows[1::2]]
+    if fallback:
+        # Ascending positions: each insert lands at its final index.
+        for position, i, j in fallback:
+            lefts.insert(position, str_table[i])
+            rights.insert(position, str_table[j])
             if keys is not None:
-                i, j = keys[cursor]
-            else:
-                i, j = row_a, row_b
-            cursor += 1
-            a = _worker_row_ids(row_a)
-            b = _worker_row_ids(row_b)
+                keys.insert(position, (i, j))
+    return lefts, rights, keys
+
+
+def _score_set_pairs(
+    lefts: list, rights: list, keys: list | None
+) -> list[tuple[float | None, str | None]]:
+    """Per-position results for one chunk of ``(lefts[p], rights[p])`` sets.
+
+    On the fast path, maximal runs of one left set (chunks are cut from
+    per-entity candidate lists, and cached rows share one object) go
+    through :func:`jaccard_verify` in one call.  Otherwise every pair is
+    guarded individually through the per-pair scorer; ``keys`` carry the
+    entity ids the fault injector keys on.
+    """
+    thr = _worker_threshold
+    n = len(lefts)
+    if _worker_fast:
+        out: list[tuple[float | None, str | None]] = [_BELOW] * n
+        start = 0
+        while start < n:
+            a = lefts[start]
+            end = start + 1
+            while end < n and lefts[end] is a:
+                end += 1
+            # The prefilter may skip a pair here even when the parent's was
+            # off: a skipped pair provably scores below ``thr`` anyway.
+            hits, _ = jaccard_verify(a, rights[start:end], thr)  # type: ignore[arg-type]
+            for k, score in hits:
+                out[start + k] = (score, None)
+            start = end
+        return out
+    scorer = _worker_scorer
+    out = []
+    for p in range(n):
+        i, j = keys[p] if keys is not None else (None, None)
         try:
-            score = scorer((i, j, a, b))
+            score = scorer((i, j, lefts[p], rights[p]))  # type: ignore[misc]
         except Exception as exc:
             out.append((None, repr(exc)))
             continue
-        if thr is not None and score < thr:
-            out.append((None, None))
-        else:
-            out.append((score, None))
+        out.append(_BELOW if thr is not None and score < thr else (score, None))
     return out
+
+
+def _worker_is_match(left: EntityId, right: EntityId, score: float) -> bool:
+    """The ``f_cl`` decision, worker-side (threshold or oracle)."""
+    if _worker_cl_truth is not None:
+        return pair_key(left, right) in _worker_cl_truth
+    return score >= _worker_cl_threshold  # type: ignore[operator]
 
 
 def _score_partition(payload: object) -> tuple[list, list, dict]:
@@ -444,63 +483,64 @@ def _score_partition(payload: object) -> tuple[list, list, dict]:
     decodes to ``[own_row, partner_row, ...]`` — one entity's candidate
     list with multiplicity, in shared token-column rows.  The worker then
     replays the sequential tail for that entity: the I-WNP count filter
-    (partner kept when its block co-occurrence count is at least the
-    average — or plain dedup when cleaning is disabled), the kernel
-    length prefilter, scoring, threshold verification, and the ``f_cl``
-    decision.  Returns ``(matches, failures, stats)``: matched triples
-    ``(left, right, score)``, failed triples ``(left, right, error)``,
-    and the cleaned/prefiltered counts the parent folds into its
+    (:func:`~repro.metablocking.iwnp.iwnp_select`, the ``f_cc`` stage's
+    own survivor function — or plain dedup when cleaning is disabled), the
+    kernel length prefilter, scoring, threshold verification, and the
+    ``f_cl`` decision.  Returns ``(matches, failures, stats)``: matched
+    triples ``(left, right, score)``, failed triples ``(left, right,
+    error)``, and the cleaned/prefiltered counts the parent folds into its
     accounting.  Row ↔ entity-id maps are bijective within one record
     (every eid resolves to exactly one current row at publish time), so
-    counting by row is counting by partner.
+    counting by row is counting by partner; entity ids are decoded only
+    for the pairs that are emitted (or, on the per-pair path, scored).
     """
     scorer = _worker_scorer
     assert scorer is not None, "worker not initialized"
     (rows,) = _loads_oob(payload)  # type: ignore[misc]
     thr = _worker_threshold
-    cl_thr = _worker_cl_threshold
-    truth = _worker_cl_truth
+    fast = _worker_fast
     prefilter = _worker_prefilter
     bound = _worker_comparator.bound if prefilter else None  # type: ignore[union-attr]
+    select = iwnp_select if _worker_cc_enabled else list
+    row_ids = _worker_row_ids
+    row_eid = _worker_row_eid
+    membership = _worker_membership
     matches: list[tuple] = []
     failures: list[tuple] = []
     cleaned = 0
     prefiltered = 0
-    for membership_row in rows:
-        record = decode_membership(
-            _worker_membership.record(int(membership_row))  # type: ignore[union-attr]
-        )
-        own = int(record[0])
-        counts: dict[int, int] = {}
-        get = counts.get
-        for partner_row in record[1:]:
-            partner = int(partner_row)
-            counts[partner] = get(partner, 0) + 1
-        if not counts:
+    for membership_row in rows.tolist():
+        record = decode_membership(membership.record(membership_row)).tolist()  # type: ignore[union-attr]
+        survivors = select(iwnp_counts(record[1:]))
+        if not survivors:
             continue
-        if _worker_cc_enabled:
-            avg = (len(record) - 1) / len(counts)
-            survivors = [row for row, count in counts.items() if count >= avg]
-        else:
-            survivors = list(counts)
         cleaned += len(survivors)
-        a = _worker_row_ids(own)
+        a = row_ids(record[0])
+        if fast:
+            hits, skipped = jaccard_verify(
+                a, [row_ids(row) for row in survivors], thr, prefilter  # type: ignore[arg-type]
+            )
+            prefiltered += skipped
+            if hits:
+                left = row_eid(record[0])
+                for k, score in hits:
+                    right = row_eid(survivors[k])
+                    if _worker_is_match(left, right, score):
+                        matches.append((left, right, score))
+            continue
         la = len(a)
-        left = _worker_row_eid(own)
+        left = row_eid(record[0])
         for row in survivors:
-            b = _worker_row_ids(row)
+            b = row_ids(row)
             lb = len(b)
             if prefilter:
                 # Mirrors the parent-side prefilter of the chunked path:
                 # exactly one empty side scores identically 0 (< threshold);
                 # both-empty pairs must still be scored (jaccard says 1.0).
-                if (la == 0) != (lb == 0):
+                if (la == 0) != (lb == 0) or (la and bound(la, lb) < thr):  # type: ignore[misc]
                     prefiltered += 1
                     continue
-                if la and bound(la, lb) < thr:  # type: ignore[misc]
-                    prefiltered += 1
-                    continue
-            right = _worker_row_eid(row)
+            right = row_eid(row)
             try:
                 score = scorer((left, right, a, b))
             except Exception as exc:
@@ -508,10 +548,7 @@ def _score_partition(payload: object) -> tuple[list, list, dict]:
                 continue
             if thr is not None and score < thr:
                 continue  # kernel-verified non-match
-            if truth is not None:
-                if pair_key(left, right) in truth:
-                    matches.append((left, right, score))
-            elif score >= cl_thr:  # type: ignore[operator]
+            if _worker_is_match(left, right, score):
                 matches.append((left, right, score))
     return matches, failures, {"cleaned": cleaned, "prefiltered": prefiltered}
 
@@ -718,6 +755,10 @@ class MultiprocessERPipeline:
         )
         self.last_partition_plan = None
         self._partition_config: dict | None = None
+        #: eid → the token-column row of its current profile, written where
+        #: partitioned dispatch publishes an entity's own row; membership
+        #: records are resolved against it in one C-level ``map``.
+        self._row_of: dict[EntityId, int] = {}
         if self.partitioned_dispatch:
             # The parent-side front stops after cg; cc/lm/cl semantics move
             # into the workers (cl's state duty — the match store — stays
@@ -1127,7 +1168,10 @@ class MultiprocessERPipeline:
         partners — so a partner that re-arrives later in the same
         increment with changed tokens is compared against the version
         that was current when this entity arrived, bit-identically to
-        every other executor.
+        every other executor.  The resolution reads ``_row_of``, the
+        eid → current-row map written where each entity's own row is
+        published, in one C-level ``map`` per entity; a partner missing
+        from it falls back to :meth:`_walk_candidate_rows`.
         """
         start = time.perf_counter()
         matches: list[Match] = []
@@ -1146,6 +1190,7 @@ class MultiprocessERPipeline:
         profiles = self.backend.profiles
         match_store = self.backend.matches
         row_for = self._token_store.row_for  # type: ignore[union-attr]
+        row_of = self._row_of
         publish = self.backend.publish_membership
         cooccurrence = self.backend.cooccurrence if self.cc is not None else None
         cc_present = self.cc is not None
@@ -1210,11 +1255,12 @@ class MultiprocessERPipeline:
                 # stays in the parent, as does publishing the entity's
                 # token row so later arrivals can reference it.
                 profiles.put(profile)
-                own_row = (
-                    row_for(profile.eid, profile.token_ids)
-                    if profile.token_ids is not None
-                    else -1
-                )
+                if profile.token_ids is not None:
+                    own_row = row_for(profile.eid, profile.token_ids)
+                    row_of[profile.eid] = own_row
+                else:
+                    own_row = -1
+                    row_of.pop(profile.eid, None)
                 if trace is not None:
                     trace.complete()
                 candidates = generated.candidates
@@ -1226,12 +1272,10 @@ class MultiprocessERPipeline:
                 record = None
                 if own_row >= 0:
                     record = array("Q", (own_row,))
-                    for j in candidates:
-                        other = profiles.get(j)
-                        if other is None or other.token_ids is None:
-                            record = None
-                            break
-                        record.append(row_for(j, other.token_ids))
+                    try:
+                        record.extend(map(row_of.__getitem__, candidates))
+                    except KeyError:
+                        record = self._walk_candidate_rows(own_row, candidates)
                 if record is None:
                     # A pair without interned ids cannot ride the shared
                     # columns; finish this entity inline with sequential
@@ -1322,6 +1366,27 @@ class MultiprocessERPipeline:
         if self.checker is not None:
             self.checker.finalize(result, expected_entities=count_in[0])
         return result
+
+    def _walk_candidate_rows(self, own_row: int, candidates) -> array | None:
+        """A membership record resolved through the profile store.
+
+        The fallback when the row map misses a partner — a profile this
+        pipeline did not publish, e.g. state an earlier executor left in
+        the backend.  ``None`` when a partner has no interned ids (no
+        shared-column row to hand a worker).  Resolved rows are recorded,
+        so the next lookup of the same partner takes the fast path.
+        """
+        profiles = self.backend.profiles
+        row_for = self._token_store.row_for  # type: ignore[union-attr]
+        row_of = self._row_of
+        record = array("Q", (own_row,))
+        for j in candidates:
+            other = profiles.get(j)
+            if other is None or other.token_ids is None:
+                return None
+            row = row_of[j] = row_for(j, other.token_ids)
+            record.append(row)
+        return record
 
     def _run_inline_tail(self, generated) -> list[Match]:
         """cc → lm → co → cl in the parent for one entity.

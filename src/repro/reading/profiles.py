@@ -43,8 +43,11 @@ class ProfileBuilder:
         default_factory=dict, repr=False, compare=False
     )
 
-    def with_dictionary(self, dictionary: TokenDictionary) -> "ProfileBuilder":
-        """A copy of this builder interning into ``dictionary`` (fresh cache)."""
+    def with_dictionary(self, dictionary: TokenDictionary | None) -> "ProfileBuilder":
+        """A copy of this builder interning into ``dictionary`` (fresh cache).
+
+        ``None`` copies a builder that does not intern.
+        """
         return dataclasses.replace(self, dictionary=dictionary, _cache={})
 
     def _value(self, value: str) -> tuple[str, frozenset[str], frozenset[int] | None]:

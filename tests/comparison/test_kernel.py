@@ -7,6 +7,8 @@ parity assertion here uses ``==`` on floats deliberately.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,9 +16,7 @@ from hypothesis import strategies as st
 from repro.comparison import (
     SET_SIMILARITIES,
     InternedComparator,
-    galloping_intersect_size,
-    intersect_size,
-    merge_intersect_size,
+    jaccard_verify,
     similarity_bound,
     similarity_from_intersection,
 )
@@ -46,38 +46,56 @@ def string_profile(eid, tokens):
     )
 
 
-class TestIntersectHelpers:
-    @given(id_sets, id_sets)
-    def test_merge_equals_set_intersection(self, a, b):
-        assert merge_intersect_size(sorted(a), sorted(b)) == len(a & b)
+def jaccard_of(a, b) -> float:
+    return similarity_from_intersection("jaccard", len(a & b), len(a), len(b))
 
-    @given(id_sets, id_sets)
-    def test_galloping_equals_set_intersection(self, a, b):
-        small, large = sorted(a), sorted(b)
-        if len(small) > len(large):
-            small, large = large, small
-        assert galloping_intersect_size(small, large) == len(a & b)
 
-    @given(id_sets, id_sets)
-    def test_dispatcher_equals_set_intersection(self, a, b):
-        assert intersect_size(sorted(a), sorted(b)) == len(a & b)
+@st.composite
+def verify_cases(draw):
+    """A left set, right sets, and a threshold on (or one ulp beside) a score."""
+    a = frozenset(draw(id_sets))
+    others = [frozenset(b) for b in draw(st.lists(id_sets, max_size=8))]
+    thresholds = [0.3, 0.5, 1.0]
+    for b in others:
+        score = jaccard_of(a, b)
+        thresholds += [score, math.nextafter(score, 0.0), math.nextafter(score, 2.0)]
+    thr = draw(st.sampled_from([t for t in thresholds if 0.0 < t <= 1.0]))
+    return a, others, thr
 
-    def test_numpy_path_for_large_inputs(self):
-        a = list(range(0, 600, 2))  # 300 elements: combined size >= 256
-        b = list(range(0, 600, 3))
-        assert intersect_size(a, b) == len(set(a) & set(b))
 
-    def test_galloping_path_for_skewed_inputs(self):
-        small = [10, 500, 9000]
-        large = list(range(10000))
-        assert intersect_size(small, large) == 3
-        assert intersect_size(large, small) == 3
+class TestJaccardVerify:
+    @given(verify_cases(), st.booleans())
+    def test_equals_similarity_from_intersection(self, case, prefilter):
+        a, others, thr = case
+        hits, skipped = jaccard_verify(a, others, thr, prefilter)
+        expected = [
+            (k, jaccard_of(a, b)) for k, b in enumerate(others)
+            if jaccard_of(a, b) >= thr
+        ]
+        assert hits == expected
+        if not prefilter:
+            assert skipped == 0
+
+    @given(verify_cases())
+    def test_prefilter_skips_exactly_the_bounded_pairs(self, case):
+        a, others, thr = case
+        _, skipped = jaccard_verify(a, others, thr, prefilter=True)
+        assert skipped == sum(
+            1 for b in others
+            if (a or b) and similarity_bound("jaccard", len(a), len(b)) < thr
+        )
 
     def test_empty_sides(self):
-        assert intersect_size([], [1, 2]) == 0
-        assert intersect_size([1, 2], []) == 0
-        assert merge_intersect_size([], []) == 0
-        assert galloping_intersect_size([], [1]) == 0
+        empty = frozenset()
+        one = frozenset({1})
+        # Two empty sets score 1.0 at any threshold; a one-sided empty set
+        # is prefiltered (bound 0) or, without the prefilter, scores 0.0.
+        assert jaccard_verify(empty, [empty, one], 1.0) == ([(0, 1.0)], 1)
+        assert jaccard_verify(one, [empty], 0.5) == ([], 1)
+        assert jaccard_verify(empty, [empty, one], 1.0, prefilter=False) == (
+            [(0, 1.0)],
+            0,
+        )
 
 
 class TestBounds:

@@ -99,6 +99,27 @@ class TestPlanCompilation:
         assert compiled.stage("cl").matches is backend.matches
 
 
+    @pytest.mark.parametrize(
+        "config",
+        [full_config(), StreamERConfig.interned(alpha=10, beta=0.05)],
+        ids=["string", "interned"],
+    )
+    def test_compiled_pipelines_share_no_memo_cache(self, config):
+        """The builder's memo cache is run state: one per compiled pipeline."""
+        from repro.types import EntityDescription
+
+        plan = PipelinePlan.from_config(config)
+        first = plan.compile().stage("dr")
+        second = plan.compile().stage("dr")
+        builders = [config.profile_builder, first.builder, second.builder]
+        assert len({id(b) for b in builders}) == 3
+        assert len({id(b._cache) for b in builders}) == 3
+        first(EntityDescription.create(1, {"title": "glass panel"}))
+        assert first.builder._cache
+        assert not second.builder._cache
+        assert not config.profile_builder._cache
+
+
 class TestExecutorsShareThePlan:
     """All four executors derive their stage topology from the same plan."""
 

@@ -266,6 +266,134 @@ class TestRunHygiene:
             proc.wait(timeout=10)
 
 
+#: A partitioned run whose columns grow *after* the pool has forked: the
+#: first increment spawns the workers, the second overflows the tiny
+#: initial capacities, so the workers attach generations (``…md1`` and
+#: up) that did not exist when they were forked.  Prints the backend
+#: prefix, the grown segment names and the worker pids, then either
+#: waits to be killed (``kill``) or cleans up and exits (``clean``).
+_GROWTH_VICTIM = """
+import sys, time
+from repro.classification import ThresholdClassifier
+from repro.core import StreamERConfig
+from repro.core.backends import SharedMemoryBackend
+from repro.parallel import MultiprocessERPipeline
+from repro.types import EntityDescription
+
+words = ["glass", "panel", "wood", "fibre", "roof", "window", "door", "steel"]
+def entities(lo, hi):
+    return [
+        EntityDescription.create(
+            i, {"title": " ".join(words[(i + j) % len(words)] for j in range(3))}
+        )
+        for i in range(lo, hi)
+    ]
+
+config = StreamERConfig.interned(
+    alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4)
+)
+backend = SharedMemoryBackend(data_bytes=512, dir_rows=8)
+pipeline = MultiprocessERPipeline(
+    config, workers=2, backend=backend, partitioned=True
+)
+pipeline.run(entities(0, 4))
+forked_with = set(backend.segment_names())
+pipeline.run(entities(4, 160))
+grown = sorted(set(backend.segment_names()) - forked_with)
+pids = [str(worker.pid) for worker in pipeline._pool._pool]
+print(backend.name, ",".join(grown), ",".join(pids), flush=True)
+if sys.argv[1] == "kill":
+    time.sleep(60)
+pipeline.close()
+backend.unlink()
+"""
+
+
+def _run_growth_victim(mode: str) -> tuple[str, list[str], list[int], subprocess.Popen]:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _GROWTH_VICTIM, mode],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    fields = proc.stdout.readline().split()
+    assert len(fields) == 3, f"victim failed: {proc.stderr.read()}"
+    prefix, grown, pids = fields
+    return prefix, grown.split(","), [int(pid) for pid in pids.split(",")], proc
+
+
+class TestTrackerOwnership:
+    """Columns grown after the pool forked keep the creator's registration."""
+
+    def test_growth_after_fork_unlinks_without_tracker_errors(self):
+        prefix, grown, _, proc = _run_growth_victim("clean")
+        try:
+            assert any("md" in name for name in grown)
+            # The tracker inherits the victim's stderr, so reading to EOF
+            # also waits for it to finish.
+            _, stderr = proc.communicate(timeout=RUN_TIMEOUT)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
+        assert active_shm_segments(prefix) == []
+
+    def test_sigkill_after_growth_leaves_no_segment(self):
+        """Kill the creator and its workers: the tracker sweeps every
+        generation, including those created after the fork."""
+        prefix, grown, pids, proc = _run_growth_victim("kill")
+        try:
+            assert any("md" in name for name in grown)
+            assert set(grown) <= set(active_shm_segments(prefix))
+            for pid in (proc.pid, *pids):
+                os.kill(pid, signal.SIGKILL)
+            _, stderr = proc.communicate(timeout=RUN_TIMEOUT)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert "Traceback" not in stderr, stderr
+        deadline = time.monotonic() + 20
+        while active_shm_segments(prefix) and time.monotonic() < deadline:
+            time.sleep(0.2)
+        assert active_shm_segments(prefix) == []
+
+    def test_unrelated_process_attach_leaves_segments_alive(self):
+        """A process with a tracker of its own must not unlink on exit."""
+        store = SharedColumnStore(data_bytes=64, dir_rows=4)
+        try:
+            for i in range(40):
+                store.append(f"row-{i}".encode())
+            script = (
+                "import sys\n"
+                "from repro.core.backends import SharedColumnReader\n"
+                "reader = SharedColumnReader(sys.argv[1])\n"
+                "assert bytes(reader.record(39)) == b'row-39'\n"
+                "reader.close()\n"
+            )
+            env = dict(os.environ)
+            src = str(Path(__file__).resolve().parents[2] / "src")
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            done = subprocess.run(
+                [sys.executable, "-c", script, store.prefix],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=RUN_TIMEOUT,
+            )
+            assert done.returncode == 0, done.stderr
+            assert "leaked" not in done.stderr
+            assert sorted(store.segment_names()) == active_shm_segments(store.prefix)
+            assert bytes(store.record(39)) == b"row-39"
+        finally:
+            store.unlink()
+        assert active_shm_segments(store.prefix) == []
+
+
 class TestShmVsMemoryEquivalence:
     def test_match_sets_bit_identical(self):
         entities = make_entities(150)

@@ -50,3 +50,31 @@ class TestIwnp:
         avg = sum(counts.values()) / len(counts)
         for survivor in iwnp(candidates):
             assert counts[survivor] >= avg
+
+
+def _dict_loop_counts(candidates):
+    """The hand-written grouping loop ``Counter`` replaced."""
+    counts = {}
+    for candidate in candidates:
+        counts[candidate] = counts.get(candidate, 0) + 1
+    return counts
+
+
+class TestCounterEqualsDictLoop:
+    """``Counter`` counts in C; it must not change a count or an order."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=12)))
+    def test_same_counts_in_first_occurrence_order(self, candidates):
+        assert list(iwnp_counts(candidates).items()) == list(
+            _dict_loop_counts(candidates).items()
+        )
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 8))))
+    def test_same_survivors_in_same_order(self, candidates):
+        from repro.core.backends.base import CooccurrenceCounter
+
+        expected = iwnp_select(_dict_loop_counts(candidates))
+        assert iwnp(candidates) == expected
+        counter = CooccurrenceCounter()
+        assert iwnp_select(counter.count(candidates)) == expected
+        assert counter.pairs_counted == len(candidates)

@@ -331,6 +331,156 @@ class TestPartitionedDispatchEquivalence:
             assert runner.increments[-1].pool_reused
 
 
+def _describe(eid: int, title: str):
+    from repro.types import EntityDescription
+
+    return EntityDescription.create(eid, {"title": title})
+
+
+class TestPartitionedRowResolution:
+    """The parent's eid → row map hands out exactly SEQ's partner versions."""
+
+    def test_rearrival_with_changed_tokens_within_one_increment(self):
+        # Entity 7 arrives twice with disjoint tokens.  Arrivals between
+        # the two must be scored against version one, later arrivals
+        # against version two — even though every pair is scored only
+        # after the whole increment has been published.
+        old, new = "glass panel wood", "roof window door"
+        entities = (
+            [_describe(7, old)]
+            + [_describe(100 + i, old) for i in range(3)]
+            + [_describe(7, new)]
+            + [_describe(200 + i, new) for i in range(3)]
+            + [_describe(300 + i, old) for i in range(3)]
+            + make_entities(40)[10:]
+        )
+        reference = sequential_pairs(threshold_config(), entities)
+        assert (7, 100) in reference and (7, 200) in reference
+        assert (7, 300) not in reference  # old blocks, new profile
+        pipeline, _, pairs = mp_run(threshold_config(), entities, partitioned=True)
+        assert pipeline.partitioned_dispatch
+        assert pairs == reference
+
+    @pytest.mark.parametrize("first_half", ["interned", "string"])
+    def test_partner_unknown_to_the_row_map(self, first_half):
+        """State left by another executor: the parent walks the profile store.
+
+        A SEQ pipeline fills the backend first, so no partner from that
+        half is in the partitioned pipeline's row map.  With interned
+        partners the walk resolves their rows; with string-only partners
+        (no ids, so no row) the entity's tail runs inline in the parent.
+        """
+        first_config = (
+            threshold_config()
+            if first_half == "interned"
+            else StreamERConfig(
+                alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4)
+            )
+        )
+        entities = make_entities(80)
+        head, tail = entities[:40], entities[40:]
+
+        reference_backend = InMemoryBackend()
+        StreamERPipeline(
+            first_config, instrument=False, backend=reference_backend
+        ).process_many(head)
+        StreamERPipeline(
+            threshold_config(), instrument=False, backend=reference_backend
+        ).process_many(tail)
+        reference = reference_backend.matches.pairs()
+
+        backend = SharedMemoryBackend()
+        prefix = backend.name
+        walks: list[object] = []
+        inline: list[object] = []
+        try:
+            StreamERPipeline(
+                first_config, instrument=False, backend=backend
+            ).process_many(head)
+            pipeline = MultiprocessERPipeline(
+                threshold_config(), workers=2, backend=backend, partitioned=True
+            )
+            walk, tail_inline = pipeline._walk_candidate_rows, pipeline._run_inline_tail
+            pipeline._walk_candidate_rows = lambda *a: walks.append(a) or walk(*a)
+            pipeline._run_inline_tail = lambda *a: inline.append(a) or tail_inline(*a)
+            pipeline.run(tail)
+            pairs = backend.matches.pairs()
+            pipeline.close()
+        finally:
+            backend.unlink()
+        assert active_shm_segments(prefix) == []
+        assert walks
+        assert bool(inline) == (first_half == "string")
+        assert pairs == reference
+
+
+class TestWorkerFastPathParity:
+    """The shared kernel loop and the per-pair scorer agree exactly."""
+
+    @pytest.mark.parametrize("partitioned", [True, False])
+    def test_zero_rate_fault_spec_changes_nothing(self, partitioned):
+        entities = make_entities(90)
+        runs = []
+        for faults in (None, {"co": FaultSpec(probability=0.0, seed=1)}):
+            pipeline, result, pairs = mp_run(
+                threshold_config(), entities, partitioned=partitioned, faults=faults
+            )
+            assert pipeline.partitioned_dispatch is partitioned
+            assert result.items_failed == 0
+            runs.append(
+                (
+                    pairs,
+                    result.comparisons_after_cleaning,
+                    pipeline.pairs_prefiltered,
+                    pipeline.pairs_dispatched,
+                )
+            )
+        assert runs[0][0]
+        assert runs[0] == runs[1]
+
+    def test_id_chunks_score_identically_in_process(self, monkeypatch):
+        """Both worker loops over one ``"ids"`` chunk, including a pair
+        that falls back to string sets."""
+        from repro.parallel import mp_framework
+
+        for name in ("_worker_comparator", "_worker_mode", "_worker_threshold",
+                     "_worker_scorer", "_worker_fast"):
+            monkeypatch.setattr(mp_framework, name, getattr(mp_framework, name))
+        config = threshold_config()
+        pipeline = MultiprocessERPipeline(config, workers=1, backend=InMemoryBackend())
+        pipeline.close()
+        profiles = [
+            Profile(eid=i, attributes=(), tokens=frozenset(t), token_ids=frozenset(ids))
+            for i, (t, ids) in enumerate(
+                [
+                    (("a", "b"), (0, 1)),
+                    (("a", "b", "c"), (0, 1, 2)),
+                    (("c",), (2,)),
+                    ((), ()),
+                    ((), ()),
+                ]
+            )
+        ]
+        plain = Profile(eid=9, attributes=(), tokens=frozenset({"a", "b"}))
+        chunk = [
+            Comparison(profiles[0], profiles[1]),
+            Comparison(profiles[0], profiles[2]),
+            Comparison(profiles[0], plain),
+            Comparison(profiles[3], profiles[4]),
+            Comparison(profiles[1], profiles[2]),
+        ]
+        payload = pipeline._encode_chunk(chunk)
+        outputs = []
+        for spec in (None, FaultSpec(probability=0.0)):
+            mp_framework._init_worker(config.comparator, spec, "ids")
+            assert mp_framework._worker_fast is (spec is None)
+            outputs.append(mp_framework._score_chunk(payload))
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == [
+            (2 / 3, None), (None, None), (1.0, None), (1.0, None), (None, None)
+        ]
+
+
 class TestPrefilterZeroTokenRegression:
     """The length prefilter must not treat 'empty side' as 'cheap skip'.
 
