@@ -5,17 +5,17 @@ the pipeline's dominant cost (Figure 6) — gets ≥ 2× faster *without
 changing a single match*: token ids, batched scoring, the length prefilter
 and threshold-aware verification are pure execution-strategy changes, and
 the match set is provably identical (see ``docs/performance.md`` for the
-derivation).  This benchmark measures both halves of that claim on the
-same ≥ 20 000-entity generated dataset as ``bench_sharded_backend.py``:
+derivation).  This benchmark measures both halves of that claim on a
+≥ 20 000-entity generated dataset:
 
 * sequential ``f_co``-stage throughput, string comparator vs interned
   kernel (prefilter on and off), from the instrumented pipeline's
   per-stage timings;
 * multiprocess wall clock with compact id-array dispatch, against the
   sequential run — on a single-CPU host this cannot exceed 1.0, but it
-  must beat the 0.194× the full-profile pickling path recorded in
-  ``BENCH_sharded.json``, because the win being measured is IPC volume,
-  not parallelism;
+  must beat the 0.194× the full-profile pickling path recorded in the
+  ``CHANGES.md`` entry that introduced the ``StateBackend`` seam, because
+  the win being measured is IPC volume, not parallelism;
 * exact match-set equality across every executor and comparator.
 
 Measurements land in ``BENCH_compare_kernel.json`` at the repository root.
@@ -53,8 +53,8 @@ WORKERS = 2
 CHUNK_SIZE = 512
 CO_SPEEDUP_TARGET = 2.0
 #: The mp-vs-seq ratio of the full-profile pickling dispatch on this host
-#: class (single CPU), from BENCH_sharded.json — the bar compact dispatch
-#: must clear.
+#: class (single CPU), from the CHANGES.md entry that introduced the
+#: ``StateBackend`` seam — the bar compact dispatch must clear.
 MP_BASELINE = 0.194
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_compare_kernel.json"
 

@@ -1,7 +1,6 @@
 """Pluggable state backends: where the ER state σ physically lives."""
 
 from repro.core.backends.base import (
-    CooccurrenceCounter,
     StateBackend,
     backend_capabilities,
 )
@@ -12,15 +11,6 @@ from repro.core.backends.durable import (
     config_fingerprint,
 )
 from repro.core.backends.memory import InMemoryBackend
-from repro.core.backends.sharded import (
-    ShardedBackend,
-    ShardedBlacklist,
-    ShardedBlockCollection,
-    ShardedCooccurrenceCounter,
-    ShardedMatchStore,
-    ShardedProfileStore,
-    shard_index,
-)
 from repro.core.backends.shm import (
     SharedColumnReader,
     SharedColumnStore,
@@ -32,20 +22,12 @@ from repro.core.backends.shm import (
 
 __all__ = [
     "StateBackend",
-    "CooccurrenceCounter",
     "backend_capabilities",
     "InMemoryBackend",
     "DurableBackend",
     "DurabilityConfig",
     "CommittingStage",
     "config_fingerprint",
-    "ShardedBackend",
-    "ShardedBlockCollection",
-    "ShardedBlacklist",
-    "ShardedProfileStore",
-    "ShardedMatchStore",
-    "ShardedCooccurrenceCounter",
-    "shard_index",
     "SharedColumnReader",
     "SharedColumnStore",
     "SharedMemoryBackend",

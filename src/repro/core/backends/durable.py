@@ -2,7 +2,7 @@
 
 Durability is layered *under* the :class:`StateBackend` seam rather than
 into any executor: ``DurableBackend`` wraps an
-:class:`~repro.core.backends.InMemoryBackend` (or a sharded backend —
+:class:`~repro.core.backends.InMemoryBackend` (or any other backend —
 the store proxies are duck-typed) and replaces each mutable store with a
 logging proxy that appends a WAL record before applying the mutation.
 Stages receive the proxies through plan compilation exactly as they
@@ -330,7 +330,6 @@ class DurableBackend:
         self.profiles = _LoggedProfiles(inner.profiles, journal)
         self.matches = _LoggedMatches(inner.matches, journal)
         self.dictionary = _LoggedDictionary(inner.dictionary, journal)
-        self.cooccurrence = inner.cooccurrence  # stats only; not replayed
 
     @classmethod
     def resume(

@@ -7,7 +7,6 @@ the same way they would receive any other backend.
 
 from __future__ import annotations
 
-from repro.core.backends.base import CooccurrenceCounter
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -32,16 +31,12 @@ class InMemoryBackend:
         blacklist: Blacklist | None = None,
         profiles: ProfileStore | None = None,
         matches: MatchStore | None = None,
-        cooccurrence: CooccurrenceCounter | None = None,
         dictionary: TokenDictionary | None = None,
     ) -> None:
         self.blocks = blocks if blocks is not None else BlockCollection()
         self.blacklist = blacklist if blacklist is not None else Blacklist()
         self.profiles = profiles if profiles is not None else ProfileStore()
         self.matches = matches if matches is not None else MatchStore()
-        self.cooccurrence = (
-            cooccurrence if cooccurrence is not None else CooccurrenceCounter()
-        )
         self.dictionary = dictionary if dictionary is not None else TokenDictionary()
 
     def state(self) -> ERState:

@@ -55,7 +55,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.backends.base import CooccurrenceCounter
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -580,8 +579,8 @@ class SharedMemoryBackend:
     strings and the per-entity packed token-id arrays — because those are
     exactly what the multiprocess comparison stage needs and what used to
     be re-serialized into every chunk.  The remaining stores (blocks,
-    blacklist, profiles, matches, co-occurrence) are parent-only state
-    that never crosses the process boundary, so they stay as the plain
+    blacklist, profiles, matches) are parent-only state that never
+    crosses the process boundary, so they stay as the plain
     in-memory implementations (injectable, like
     :class:`~repro.core.backends.memory.InMemoryBackend`).
 
@@ -619,7 +618,6 @@ class SharedMemoryBackend:
         blacklist=None,
         profiles=None,
         matches=None,
-        cooccurrence=None,
     ) -> None:
         self.name = name if name is not None else _fresh_prefix()
         self._creator_pid = os.getpid()
@@ -646,9 +644,6 @@ class SharedMemoryBackend:
         self.blacklist = blacklist if blacklist is not None else Blacklist()
         self.profiles = profiles if profiles is not None else ProfileStore()
         self.matches = matches if matches is not None else MatchStore()
-        self.cooccurrence = (
-            cooccurrence if cooccurrence is not None else CooccurrenceCounter()
-        )
         self._finalizer = weakref.finalize(
             self, _finalize_backend, self._creator_pid, list(self._stores)
         )

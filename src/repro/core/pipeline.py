@@ -58,38 +58,6 @@ class ERResult:
         """Entity identifiers of all dead-lettered items."""
         return {d.entity_id for d in self.dead_letters}
 
-    @classmethod
-    def merge(cls, results: Iterable["ERResult"]) -> "ERResult":
-        """Combine results of runs over disjoint partitions (shards).
-
-        Matches are deduplicated by canonical pair key (a pair discovered
-        in two partitions counts once); counters, timings, failures and
-        dead letters are summed; ``elapsed_seconds`` is the *maximum* over
-        the inputs, since sharded partitions execute concurrently.
-        """
-        merged = cls()
-        seen: set[tuple] = set()
-        elapsed = 0.0
-        for result in results:
-            merged.entities_processed += result.entities_processed
-            for match in result.matches:
-                key = match.key()
-                if key not in seen:
-                    seen.add(key)
-                    merged.matches.append(match)
-            for stage, seconds in result.timings.seconds.items():
-                merged.timings.add(stage, seconds)
-            merged.comparisons_generated += result.comparisons_generated
-            merged.comparisons_after_cleaning += result.comparisons_after_cleaning
-            merged.blocks_pruned += result.blocks_pruned
-            merged.keys_ghosted += result.keys_ghosted
-            merged.items_failed += result.items_failed
-            merged.retries += result.retries
-            merged.dead_letters.extend(result.dead_letters)
-            elapsed = max(elapsed, result.elapsed_seconds)
-        merged.elapsed_seconds = elapsed
-        return merged
-
 
 class StreamERPipeline:
     """Sequential end-to-end ER over dynamic data.

@@ -113,7 +113,7 @@ def _make_cg(config: StreamERConfig, backend: StateBackend):
 
 
 def _make_cc(config: StreamERConfig, backend: StateBackend):
-    return ComparisonCleaningStage(backend=backend)
+    return ComparisonCleaningStage()
 
 
 def _make_lm(config: StreamERConfig, backend: StateBackend):

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 from repro.classification.classifiers import Classifier, ThresholdClassifier
 from repro.comparison.comparator import TokenSetComparator
-from repro.core.backends.base import CooccurrenceCounter, StateBackend
+from repro.core.backends.base import StateBackend
 from repro.core.state import Blacklist, BlockCollection, MatchStore, ProfileStore
 from repro.errors import UnknownProfileError
-from repro.metablocking.iwnp import iwnp_select
+from repro.metablocking.iwnp import iwnp_counts, iwnp_select
 from repro.reading.profiles import ProfileBuilder
 from repro.types import (
     Comparison,
@@ -253,22 +253,12 @@ class ComparisonCleaningStage:
 
     name = "cc"
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        cooccurrence: CooccurrenceCounter | None = None,
-        backend: StateBackend | None = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        if cooccurrence is None:
-            cooccurrence = (
-                backend.cooccurrence if backend is not None else CooccurrenceCounter()
-            )
-        self.cooccurrence = cooccurrence
         self.retained = 0
 
     def __call__(self, generated: CandidateComparisons) -> CleanedComparisons:
-        counts = self.cooccurrence.count(generated.candidates)
+        counts = iwnp_counts(generated.candidates)
         if not counts:
             return CleanedComparisons(profile=generated.profile, candidates=[])
         survivors = iwnp_select(counts) if self.enabled else list(counts)

@@ -12,8 +12,8 @@ choice); profiles are re-attached later via the profile store.
 
 These classes are also the unit of pluggable storage: a
 :class:`~repro.core.backends.StateBackend` groups one instance of each (or
-a sharded/remote equivalent with the same interface) and hands them to the
-stages, so executors never hard-code where state lives.
+an equivalent with the same interface) and hands them to the stages, so
+executors never hard-code where state lives.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ class MatchStore:
 class ERState:
     """The full state σ = ⟨M, B⟩ plus the auxiliary stores of §IV-A.
 
-    The fields are duck-typed: a sharded backend supplies sharded stores
-    with the same interfaces (see :mod:`repro.core.backends`).
+    The fields are duck-typed: any store with the same interface will do
+    (see :mod:`repro.core.backends`).
     """
 
     blocks: BlockCollection = field(default_factory=BlockCollection)

@@ -10,8 +10,8 @@ similarities too, not just pair keys.
 
 :func:`state_digest` is the oracle primitive behind the
 ``durability-replay-digest`` invariant: a canonical SHA-256 over the
-complete mutable state, insensitive to backend layout (a sharded and an
-in-memory backend holding the same state digest identically) but
+complete mutable state, insensitive to backend layout (a shared-memory
+and an in-memory backend holding the same state digest identically) but
 sensitive to everything resolution semantics depend on, including block
 member order.
 """
@@ -121,7 +121,7 @@ def state_digest(backend: Any) -> str:
     """A canonical SHA-256 over the backend's complete mutable state.
 
     Layout-insensitive: stores are rendered in a sorted canonical order so
-    sharded and in-memory backends with equal contents digest equally.
+    backends with equal contents digest equally, whatever their layout.
     Block *member* order is preserved (candidate generation reads it), and
     the token dictionary is rendered in id order (id stability is part of
     the state).

@@ -598,9 +598,9 @@ class MultiprocessERPipeline:
         stages wrap the parent-side stage callables.
     backend:
         Where the parent-side ER state lives (default: a fresh in-memory
-        backend).  A :class:`~repro.core.backends.ShardedBackend` keeps
-        block/profile/match access partitioned while the comparison load
-        runs on the process pool.
+        backend).  A :class:`~repro.core.backends.SharedMemoryBackend`
+        lets workers read token rows from shared memory instead of
+        receiving them pickled.
     plan:
         A pre-built :class:`~repro.core.plan.PipelinePlan` to compile; by
         default one is derived from ``config``.
@@ -1192,7 +1192,6 @@ class MultiprocessERPipeline:
         row_for = self._token_store.row_for  # type: ignore[union-attr]
         row_of = self._row_of
         publish = self.backend.publish_membership
-        cooccurrence = self.backend.cooccurrence if self.cc is not None else None
         cc_present = self.cc is not None
         #: blocking key → membership rows / summed comparison count.
         groups: dict[str, array] = {}
@@ -1266,9 +1265,6 @@ class MultiprocessERPipeline:
                 candidates = generated.candidates
                 if not candidates:
                     continue
-                if cooccurrence is not None:
-                    # The cc stage's tally, maintained on its behalf.
-                    cooccurrence.pairs_counted += len(candidates)
                 record = None
                 if own_row >= 0:
                     record = array("Q", (own_row,))

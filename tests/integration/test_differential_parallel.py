@@ -24,11 +24,7 @@ import pytest
 
 from repro.classification import OracleClassifier
 from repro.core import StreamERConfig, StreamERPipeline, SupervisionPolicy
-from repro.core.backends import (
-    ShardedBackend,
-    SharedMemoryBackend,
-    active_shm_segments,
-)
+from repro.core.backends import SharedMemoryBackend, active_shm_segments
 from repro.core.plan import STAGE_ORDER
 from repro.datasets import DatasetSpec, generate
 from repro.observability import (
@@ -222,105 +218,6 @@ class TestFaultsAtComparison:
         assert result.match_pairs == expected
 
 
-class TestShardedBackendEquivalence:
-    """Hash-sharded state is a pure representation change: for any shard
-    count, every executor must produce exactly the match set of the
-    in-memory backend — on dirty and clean-clean data, and with faults."""
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_sequential_dirty(self, seeded_dirty, shards):
-        expected = sequential_pairs(seeded_dirty)
-        sharded = StreamERPipeline(
-            config_for(seeded_dirty),
-            instrument=False,
-            backend=ShardedBackend(shards),
-        )
-        sharded.process_many(seeded_dirty.stream())
-        assert sharded.cl.matches.pairs() == expected
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_sequential_clean_clean(self, seeded_clean, shards):
-        expected = sequential_pairs(seeded_clean)
-        sharded = StreamERPipeline(
-            config_for(seeded_clean),
-            instrument=False,
-            backend=ShardedBackend(shards),
-        )
-        sharded.process_many(seeded_clean.stream())
-        assert sharded.cl.matches.pairs() == expected
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_thread_framework_dirty(self, seeded_dirty, shards):
-        expected = sequential_pairs(seeded_dirty)
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=12,
-            micro_batch_size=25,
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        assert result.match_pairs == expected
-        assert result.items_failed == 0
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_thread_framework_clean_clean(self, seeded_clean, shards):
-        expected = sequential_pairs(seeded_clean)
-        parallel = ParallelERPipeline(
-            config_for(seeded_clean),
-            processes=12,
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_clean.stream(), timeout=RUN_TIMEOUT)
-        assert result.match_pairs == expected
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_multiprocess_framework(self, seeded_dirty, shards):
-        expected = sequential_pairs(seeded_dirty)
-        mp = MultiprocessERPipeline(
-            config_for(seeded_dirty),
-            workers=2,
-            chunk_size=64,
-            backend=ShardedBackend(shards),
-        )
-        result = mp.run(seeded_dirty.stream())
-        assert result.match_pairs == expected
-        assert result.items_failed == 0
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_faults_at_ingest(self, seeded_dirty, shards):
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=12,
-            micro_batch_size=25,
-            supervision=SupervisionPolicy.none(),
-            faults={"dr": FaultSpec(probability=0.2, seed=99)},
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        dead = result.dead_letter_ids
-        assert dead
-        survivors = [e for e in seeded_dirty.stream() if e.eid not in dead]
-        assert result.match_pairs == sequential_pairs(seeded_dirty, survivors)
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_faults_at_comparison(self, seeded_dirty, shards):
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=12,
-            micro_batch_size=25,
-            supervision=SupervisionPolicy.none(),
-            faults={"co": FaultSpec(probability=0.3, seed=17)},
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        dead = result.dead_letter_ids
-        assert dead
-        expected = TestFaultsAtComparison._expected(
-            TestFaultsAtComparison(), seeded_dirty, dead
-        )
-        assert result.match_pairs == expected
-
-
 class TestRetriesPreserveEquivalence:
     """Transient faults healed by retries must leave results untouched."""
 
@@ -428,19 +325,22 @@ class TestInvariantCheckedEquivalence:
         assert result.items_failed > 0
         assert not checker.violations
 
-    def test_sharded_backend_checked(self, seeded_dirty):
+    def test_shared_memory_backend_checked(self, seeded_dirty):
         expected = sequential_pairs(seeded_dirty)
         checker = InvariantChecker(mode="raise")
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=8,
-            micro_batch_size=25,
-            backend=ShardedBackend(4),
-            checker=checker,
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
+        with SharedMemoryBackend() as backend:
+            parallel = ParallelERPipeline(
+                interned_config_for(seeded_dirty),
+                processes=8,
+                micro_batch_size=25,
+                backend=backend,
+                checker=checker,
+            )
+            result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
+        assert active_shm_segments(backend.name) == []
         assert result.match_pairs == expected
         assert not checker.violations
+        assert checker.checks_performed > 0
 
 
 class TestObservabilityAcrossExecutors:

@@ -71,10 +71,6 @@ class TestCounterEqualsDictLoop:
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 8))))
     def test_same_survivors_in_same_order(self, candidates):
-        from repro.core.backends.base import CooccurrenceCounter
-
         expected = iwnp_select(_dict_loop_counts(candidates))
         assert iwnp(candidates) == expected
-        counter = CooccurrenceCounter()
-        assert iwnp_select(counter.count(candidates)) == expected
-        assert counter.pairs_counted == len(candidates)
+        assert iwnp_select(iwnp_counts(candidates)) == expected

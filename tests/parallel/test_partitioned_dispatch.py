@@ -331,6 +331,36 @@ class TestPartitionedDispatchEquivalence:
             assert runner.increments[-1].pool_reused
 
 
+class TestAccountingParity:
+    """SEQ, chunked MP and partitioned MP count the same comparisons.
+
+    The partitioned parent never runs ``f_cc``/``f_lm`` itself; it folds
+    the workers' cleaning counts back into ``cc.retained`` and
+    ``lm.materialized``.  That fold must land on SEQ's figures exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "dataset_name", ["tiny_dirty_dataset", "tiny_clean_dataset"]
+    )
+    def test_comparison_counts_agree(self, request, dataset_name):
+        dataset = request.getfixturevalue(dataset_name)
+        config = dataset_config(dataset)
+        entities = list(dataset.entities)
+        sequential = StreamERPipeline(config, instrument=False)
+        expected = sequential.process_many(entities)
+        assert expected.comparisons_after_cleaning > 0
+        for partitioned in (False, True):
+            pipeline, result, _ = mp_run(config, entities, partitioned=partitioned)
+            assert pipeline.partitioned_dispatch is partitioned
+            assert (
+                result.comparisons_generated,
+                result.comparisons_after_cleaning,
+            ) == (
+                expected.comparisons_generated,
+                expected.comparisons_after_cleaning,
+            )
+
+
 def _describe(eid: int, title: str):
     from repro.types import EntityDescription
 
